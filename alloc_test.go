@@ -28,9 +28,9 @@ func TestQueryZeroAlloc(t *testing.T) {
 	b.WriteString("</root>")
 	src := b.String()
 
-	open := func(t *testing.T, pathIndex bool, tierBytes int) *DB {
+	open := func(t *testing.T, pathIndex bool) *DB {
 		t.Helper()
-		db, err := Open(Options{PageSize: 4096, PathIndex: pathIndex, CompressedCacheBytes: tierBytes})
+		db, err := Open(Options{PageSize: 4096, PathIndex: pathIndex})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,31 +70,15 @@ func TestQueryZeroAlloc(t *testing.T) {
 	}
 
 	t.Run("indexed", func(t *testing.T) {
-		db := open(t, true, 0)
+		db := open(t, true)
 		if avg := measure(t, db, true); avg != 0 {
 			t.Errorf("indexed cursor: %.2f allocs/op, want 0", avg)
 		}
 	})
 	t.Run("scan", func(t *testing.T) {
-		db := open(t, false, 0)
+		db := open(t, false)
 		if avg := measure(t, db, false); avg != 0 {
 			t.Errorf("scan cursor: %.2f allocs/op, want 0", avg)
-		}
-	})
-	// With the tier-2 victim cache attached, the warm path is unchanged:
-	// every touched page is resident, so the scan's read-ahead
-	// announcements see a fully resident range and return without
-	// spawning, and no tier-2 lookup happens. Both must stay 0 allocs.
-	t.Run("indexed-tier2", func(t *testing.T) {
-		db := open(t, true, 1<<20)
-		if avg := measure(t, db, true); avg != 0 {
-			t.Errorf("indexed cursor with tier-2: %.2f allocs/op, want 0", avg)
-		}
-	})
-	t.Run("scan-tier2", func(t *testing.T) {
-		db := open(t, false, 1<<20)
-		if avg := measure(t, db, false); avg != 0 {
-			t.Errorf("scan cursor with tier-2: %.2f allocs/op, want 0", avg)
 		}
 	})
 }

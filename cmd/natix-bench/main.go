@@ -22,7 +22,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -65,10 +64,6 @@ func main() {
 	}
 	if *experiment == "wal" {
 		runWAL(spec, *buffer, *jsonPath, *quiet)
-		return
-	}
-	if *experiment == "readpath" {
-		runReadpath(*plays, *jsonPath, *quiet)
 		return
 	}
 
@@ -182,34 +177,6 @@ func runWAL(spec corpus.Spec, buffer int, jsonPath string, quiet bool) {
 		}
 		if !quiet {
 			fmt.Fprintf(os.Stderr, "wal cells written to %s\n", jsonPath)
-		}
-	}
-}
-
-// runReadpath measures the buffer-pool memory hierarchy: pool size ×
-// tier-2 compression × cold/warm over text-heavy and structure-heavy
-// corpora — the BENCH_readpath.json baseline.
-func runReadpath(plays int, jsonPath string, quiet bool) {
-	var progress io.Writer
-	if !quiet {
-		progress = os.Stderr
-	}
-	cells, err := benchkit.RunReadpathExperiment(plays, 8192, progress)
-	if err != nil {
-		fatalf("readpath experiment: %v", err)
-	}
-	benchkit.PrintReadpathCells(os.Stdout, cells)
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			fatalf("create %s: %v", jsonPath, err)
-		}
-		defer f.Close()
-		if err := benchkit.WriteReadpathJSON(f, cells); err != nil {
-			fatalf("write json: %v", err)
-		}
-		if !quiet {
-			fmt.Fprintf(os.Stderr, "readpath cells written to %s\n", jsonPath)
 		}
 	}
 }

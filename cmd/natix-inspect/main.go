@@ -131,26 +131,15 @@ func main() {
 	}
 }
 
-// alwaysShow are counters printed even at zero: the memory-hierarchy
-// group, where "0" is itself diagnostic (tier-2 not configured or
-// never hit, no read-ahead issued, no write-back runs coalesced).
+// alwaysShow are counters printed even at zero, where "0" is itself
+// diagnostic (no write-back runs coalesced).
 var alwaysShow = map[string]bool{
-	"buffer.tier2_hits":           true,
-	"buffer.tier2_misses":         true,
-	"buffer.tier2_admitted":       true,
-	"buffer.tier2_evictions":      true,
-	"buffer.tier2_corrupt":        true,
-	"buffer.tier2_bytes":          true,
-	"buffer.tier2_pages":          true,
-	"buffer.prefetch_issued":      true,
-	"buffer.prefetch_used":        true,
-	"buffer.prefetch_wasted":      true,
 	"buffer.coalesced_write_runs": true,
 }
 
 // dumpMetrics prints every non-zero counter and histogram the
-// inspection session accumulated (plus the memory-hierarchy group,
-// zero or not), sorted by name.
+// inspection session accumulated (plus the alwaysShow counters, zero
+// or not), sorted by name.
 func dumpMetrics(reg *telemetry.Registry) {
 	snap := reg.Snapshot()
 	fmt.Printf("\nengine metrics of this inspection:\n")

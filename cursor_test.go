@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"natix/internal/leakcheck"
 )
 
 // cursorMarkups drains a cursor, serializing every match.
@@ -574,9 +576,11 @@ func TestImportCancelLeavesNoTrace(t *testing.T) {
 	defer db.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := db.ImportXMLContext(ctx, "p", strings.NewReader(corpusXML())); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled import = %v, want context.Canceled", err)
-	}
+	leakcheck.Check(t, func() {
+		if err := db.ImportXMLContext(ctx, "p", strings.NewReader(corpusXML())); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled import = %v, want context.Canceled", err)
+		}
+	})
 	docs, err := db.Documents()
 	if err != nil {
 		t.Fatal(err)
@@ -589,5 +593,47 @@ func TestImportCancelLeavesNoTrace(t *testing.T) {
 	}
 	if n, err := db.QueryCount("p", "//SPEAKER"); err != nil || n == 0 {
 		t.Fatalf("document unusable after rollback: n=%d err=%v", n, err)
+	}
+}
+
+// TestScanQueryLeavesNoGoroutine: a navigating-scan query through a
+// pool far smaller than the document misses on most pages, and must
+// still return — materialized or through a cursor closed early — with
+// every goroutine it started joined.
+func TestScanQueryLeavesNoGoroutine(t *testing.T) {
+	db, err := Open(Options{PageSize: 2048, BufferBytes: 8 * 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.ImportXML("p", strings.NewReader(testPlayXML("p", 60))); err != nil {
+		t.Fatal(err)
+	}
+	leakcheck.Check(t, func() {
+		ms, err := db.Query("p", "//LINE")
+		if err != nil || len(ms) != 60*6 {
+			t.Fatalf("scan query: %d matches, err %v", len(ms), err)
+		}
+	})
+	leakcheck.Check(t, func() {
+		cur, err := db.QueryIter(context.Background(), "p", "/PLAY/SCENE/SPEECH/LINE")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cur.Indexed() {
+			t.Fatal("test premise: query must run as a navigating scan")
+		}
+		for i := 0; i < 10 && cur.Next(); i++ {
+		}
+		if err := cur.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	st, err := db.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.PhysReads == 0 {
+		t.Fatal("test premise: the pool must miss")
 	}
 }

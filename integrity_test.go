@@ -16,8 +16,10 @@ import (
 	"testing"
 	"time"
 
+	"natix/internal/leakcheck"
 	"natix/internal/pagedev"
 	"natix/internal/pageformat"
+	"natix/internal/records"
 	"natix/internal/wal"
 )
 
@@ -34,11 +36,7 @@ func integrityOpts() Options {
 // device while the engine runs normally.
 func openIntegrityDB(t *testing.T) (*DB, *pagedev.Mem, *pagedev.Fault) {
 	t.Helper()
-	return openIntegrityDBWith(t, integrityOpts())
-}
-
-func openIntegrityDBWith(t *testing.T, opts Options) (*DB, *pagedev.Mem, *pagedev.Fault) {
-	t.Helper()
+	opts := integrityOpts()
 	mem, err := pagedev.NewMem(opts.PageSize)
 	if err != nil {
 		t.Fatal(err)
@@ -271,22 +269,7 @@ func TestScrubQuarantineAndRecovery(t *testing.T) {
 // inventory pages), quarantine the documents owning the rest, and never
 // serve a wrong answer.
 func TestCorruptionMatrixEveryPage(t *testing.T) {
-	// Run once with the buffer pool alone and once with the tier-2
-	// compressed victim cache attached: the scrubber's trust model
-	// (device bytes are what is verified; tier-2 is never trusted on
-	// the way out) must make the matrix outcome identical.
-	t.Run("tier-off", func(t *testing.T) {
-		corruptionMatrixEveryPage(t, integrityOpts())
-	})
-	t.Run("tier-on", func(t *testing.T) {
-		opts := integrityOpts()
-		opts.CompressedCacheBytes = 1 << 20
-		corruptionMatrixEveryPage(t, opts)
-	})
-}
-
-func corruptionMatrixEveryPage(t *testing.T, opts Options) {
-	db, mem, fault := openIntegrityDBWith(t, opts)
+	db, mem, fault := openIntegrityDB(t)
 	mustImport(t, db, "alpha", 4)
 	mustImport(t, db, "beta", 3)
 	if err := db.Flush(); err != nil {
@@ -462,6 +445,10 @@ func TestTransientErrorsAbsorbed(t *testing.T) {
 // import must roll back atomically — catalog unchanged, existing
 // documents untouched — and succeed once space returns.
 func TestENOSPCImportRollsBack(t *testing.T) {
+	// Pin the batch writer's flusher on: the failure path under test
+	// must join it before the rollback, whatever GOMAXPROCS is.
+	old := records.SetFlushInline(false)
+	defer records.SetFlushInline(old)
 	db, _, fault := openIntegrityDB(t)
 	mustImport(t, db, "alpha", 4)
 	want := mustExport(t, db, "alpha")
@@ -469,10 +456,12 @@ func TestENOSPCImportRollsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	fault.FailGrow(1 << 30)
-	err := db.ImportXML("big", strings.NewReader(testPlayXML("big", 12)))
-	if !errors.Is(err, pagedev.ErrNoSpace) {
-		t.Fatalf("import on a full device: %v", err)
-	}
+	leakcheck.Check(t, func() {
+		err := db.ImportXML("big", strings.NewReader(testPlayXML("big", 12)))
+		if !errors.Is(err, pagedev.ErrNoSpace) {
+			t.Fatalf("import on a full device: %v", err)
+		}
+	})
 	docs, err := db.Documents()
 	if err != nil {
 		t.Fatal(err)

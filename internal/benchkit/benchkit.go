@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"natix/internal/buffer"
-	"natix/internal/compress"
 	"natix/internal/core"
 	"natix/internal/corpus"
 	"natix/internal/dict"
@@ -93,11 +92,6 @@ type Config struct {
 	Mode        Mode
 	Order       Order
 	Disk        pagedev.DiskModel // zero value: DCAS34330W
-
-	// CompressedCacheBytes, when positive, attaches a tier-2 compressed
-	// victim cache of this many bytes to the buffer pool (the readpath
-	// experiment's on/off axis).
-	CompressedCacheBytes int64
 
 	// SplitTarget and SplitTolerance default to the paper's settings
 	// (1/2 and a tenth of a page) when zero.
@@ -184,9 +178,6 @@ func BuildEnv(spec corpus.Spec, cfg Config) (*Env, error) {
 	pool, err := buffer.NewSized(sim, cfg.BufferBytes)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.CompressedCacheBytes > 0 {
-		pool.EnableCompressedCache(cfg.CompressedCacheBytes, compress.NewFlate(compress.DefaultLevel))
 	}
 	seg, err := segment.Create(pool)
 	if err != nil {
@@ -336,7 +327,6 @@ func (e *Env) capture(op string, start time.Time, work int64) Metrics {
 	// produced it.
 	engine["config.page_size"] = int64(e.cfg.PageSize)
 	engine["config.buffer_bytes"] = int64(e.cfg.BufferBytes)
-	engine["config.compressed_cache_bytes"] = e.cfg.CompressedCacheBytes
 	return Metrics{
 		Op:           op,
 		Series:       e.cfg.Series(),

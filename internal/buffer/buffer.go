@@ -67,18 +67,12 @@ var (
 
 // Stats counts buffer activity since the last ResetStats.
 type Stats struct {
-	LogicalReads int64 // Get/GetNew/Touch calls
-	Hits         int64 // logical reads served from the pool
-	PhysReads    int64 // pages read from the device
-	PhysWrites   int64 // pages written to the device
-	Evictions    int64 // frames evicted to make room
-	LatchWaits   int64 // latch acquisitions that had to block
-
-	Tier2Hits          int64 // misses served by decompressing a tier-2 entry
-	Tier2Misses        int64 // tier-2 lookups that fell through to the device
-	PrefetchIssued     int64 // pages loaded by background read-ahead
-	PrefetchUsed       int64 // prefetched pages later hit by a foreground read
-	PrefetchWasted     int64 // prefetched pages evicted untouched
+	LogicalReads       int64 // Get/GetNew/Touch calls
+	Hits               int64 // logical reads served from the pool
+	PhysReads          int64 // pages read from the device
+	PhysWrites         int64 // pages written to the device
+	Evictions          int64 // frames evicted to make room
+	LatchWaits         int64 // latch acquisitions that had to block
 	CoalescedWriteRuns int64 // multi-page vectored writes issued by flushes
 }
 
@@ -122,35 +116,16 @@ type Pool struct {
 	// tick and a short backoff instead of failing the operation.
 	retry ioretry.Retryer
 
-	// t2 is the optional compressed victim cache (tier-2, see
-	// tier2.go); nil until EnableCompressedCache.
-	t2 *tier2
-
-	// prefetchInflight counts running background read-ahead batches
-	// (bounded by maxPrefetchInflight, see prefetch.go).
-	prefetchInflight atomic.Int32
-
 	// Hit-path counters are sharded: every Get on every goroutine
 	// bumps them, so a single cache line would be the pool's hottest
 	// contention point. The rest increment only around physical I/O.
-	logicalReads telemetry.ShardedCounter
-	hits         telemetry.ShardedCounter
-	physReads    telemetry.Counter
-	physWrites   telemetry.Counter
-	evictions    telemetry.Counter
-	latchWaits   telemetry.Counter
-
-	// Memory-hierarchy counters; all off the tier-1 hit path except
-	// prefetchUsed, which costs one relaxed atomic load per hit.
-	tier2Hits      telemetry.Counter
-	tier2Misses    telemetry.Counter
-	tier2Admits    telemetry.Counter
-	tier2Evictions telemetry.Counter
-	tier2Corrupt   telemetry.Counter
-	prefetchIssued telemetry.Counter
-	prefetchUsed   telemetry.Counter
-	prefetchWasted telemetry.Counter
-	coalescedRuns  telemetry.Counter
+	logicalReads  telemetry.ShardedCounter
+	hits          telemetry.ShardedCounter
+	physReads     telemetry.Counter
+	physWrites    telemetry.Counter
+	evictions     telemetry.Counter
+	latchWaits    telemetry.Counter
+	coalescedRuns telemetry.Counter
 }
 
 // Frame is a pinned page image. Callers must Release every frame they
@@ -176,11 +151,6 @@ type Frame struct {
 	pageLSN  atomic.Uint64
 	fresh    bool
 	logEpoch uint64
-
-	// prefetched marks a frame loaded by background read-ahead that no
-	// foreground read has touched yet; the first hit clears it (counted
-	// as used), eviction with it still set counts as wasted.
-	prefetched atomic.Bool
 }
 
 // New creates a pool of numFrames frames over dev.
@@ -243,18 +213,12 @@ func (p *Pool) shardOf(pn pagedev.PageNo) *shard {
 // Stats returns a snapshot of the pool counters.
 func (p *Pool) Stats() Stats {
 	return Stats{
-		LogicalReads: p.logicalReads.Load(),
-		Hits:         p.hits.Load(),
-		PhysReads:    p.physReads.Load(),
-		PhysWrites:   p.physWrites.Load(),
-		Evictions:    p.evictions.Load(),
-		LatchWaits:   p.latchWaits.Load(),
-
-		Tier2Hits:          p.tier2Hits.Load(),
-		Tier2Misses:        p.tier2Misses.Load(),
-		PrefetchIssued:     p.prefetchIssued.Load(),
-		PrefetchUsed:       p.prefetchUsed.Load(),
-		PrefetchWasted:     p.prefetchWasted.Load(),
+		LogicalReads:       p.logicalReads.Load(),
+		Hits:               p.hits.Load(),
+		PhysReads:          p.physReads.Load(),
+		PhysWrites:         p.physWrites.Load(),
+		Evictions:          p.evictions.Load(),
+		LatchWaits:         p.latchWaits.Load(),
 		CoalescedWriteRuns: p.coalescedRuns.Load(),
 	}
 }
@@ -267,14 +231,6 @@ func (p *Pool) ResetStats() {
 	p.physWrites.Store(0)
 	p.evictions.Store(0)
 	p.latchWaits.Store(0)
-	p.tier2Hits.Store(0)
-	p.tier2Misses.Store(0)
-	p.tier2Admits.Store(0)
-	p.tier2Evictions.Store(0)
-	p.tier2Corrupt.Store(0)
-	p.prefetchIssued.Store(0)
-	p.prefetchUsed.Store(0)
-	p.prefetchWasted.Store(0)
 	p.coalescedRuns.Store(0)
 }
 
@@ -291,26 +247,6 @@ func (p *Pool) AttachTelemetry(reg *telemetry.Registry) {
 	reg.Func("buffer.latch_waits", p.latchWaits.Load)
 	reg.Func("buffer.resident_frames", func() int64 { return p.size.Load() })
 	reg.Func("buffer.io_retries", p.retry.Retries)
-	reg.Func("buffer.tier2_hits", p.tier2Hits.Load)
-	reg.Func("buffer.tier2_misses", p.tier2Misses.Load)
-	reg.Func("buffer.tier2_admitted", p.tier2Admits.Load)
-	reg.Func("buffer.tier2_evictions", p.tier2Evictions.Load)
-	reg.Func("buffer.tier2_corrupt", p.tier2Corrupt.Load)
-	reg.Func("buffer.tier2_bytes", func() int64 {
-		if p.t2 == nil {
-			return 0
-		}
-		return p.t2.bytes()
-	})
-	reg.Func("buffer.tier2_pages", func() int64 {
-		if p.t2 == nil {
-			return 0
-		}
-		return p.t2.pages()
-	})
-	reg.Func("buffer.prefetch_issued", p.prefetchIssued.Load)
-	reg.Func("buffer.prefetch_used", p.prefetchUsed.Load)
-	reg.Func("buffer.prefetch_wasted", p.prefetchWasted.Load)
 	reg.Func("buffer.coalesced_write_runs", p.coalescedRuns.Load)
 }
 
@@ -341,7 +277,6 @@ func (p *Pool) get(pn pagedev.PageNo, read bool) (*Frame, error) {
 		f.ref.Store(true)
 		sh.mu.RUnlock()
 		p.hits.Add(1)
-		f.notePrefetchHit()
 		return f, nil
 	}
 	sh.mu.RUnlock()
@@ -373,7 +308,6 @@ func (p *Pool) get(pn pagedev.PageNo, read bool) (*Frame, error) {
 		sh.mu.Unlock()
 		p.size.Add(-1)
 		p.hits.Add(1)
-		f.notePrefetchHit()
 		return f, nil
 	}
 	f := &Frame{pool: p, page: pn, data: make([]byte, p.dev.PageSize()), fresh: !read}
@@ -384,10 +318,6 @@ func (p *Pool) get(pn pagedev.PageNo, read bool) (*Frame, error) {
 			p.size.Add(-1)
 			return nil, err
 		}
-	} else if p.t2 != nil {
-		// The caller is re-formatting the page from scratch; a cached
-		// image of its previous life must never resurface.
-		p.t2.drop(pn)
 	}
 	sh.frames[pn] = f
 	f.ringIdx = len(sh.ring)
@@ -396,32 +326,11 @@ func (p *Pool) get(pn pagedev.PageNo, read bool) (*Frame, error) {
 	return f, nil
 }
 
-// loadInto fills f.data for page f.page, serving from the compressed
-// victim cache when it holds the page and falling back to a physical
-// read. Either way the image is checksum-verified (when verification
-// is on) before the caller may see it: tier-2 is not trusted — a bit
-// flipped while the page sat compressed is detected here and the load
-// falls back to the device copy, so corruption is never served.
+// loadInto fills f.data for page f.page with a physical read, verifying
+// the page checksum (when verification is on) before the caller may see
+// it.
 func (p *Pool) loadInto(f *Frame) error {
 	pn := f.page
-	if p.t2 != nil {
-		switch p.t2.lookup(pn, f.data) {
-		case t2Hit:
-			if !p.verify.Load() {
-				p.tier2Hits.Inc()
-				return nil
-			}
-			if err := pageformat.VerifyChecksum(f.data); err == nil {
-				p.tier2Hits.Inc()
-				return nil
-			}
-			p.tier2Corrupt.Inc()
-		case t2Corrupt:
-			p.tier2Corrupt.Inc()
-		default:
-			p.tier2Misses.Inc()
-		}
-	}
 	if err := p.retry.Do(func() error { return p.dev.Read(pn, f.data) }); err != nil {
 		return err
 	}
@@ -432,14 +341,6 @@ func (p *Pool) loadInto(f *Frame) error {
 		}
 	}
 	return nil
-}
-
-// notePrefetchHit counts the first foreground hit on a prefetched
-// frame. The common case (not prefetched) is one atomic load.
-func (f *Frame) notePrefetchHit() {
-	if f.prefetched.Load() && f.prefetched.CompareAndSwap(true, false) {
-		f.pool.prefetchUsed.Inc()
-	}
 }
 
 // Touch registers a logical access to a page without keeping it pinned.
@@ -505,35 +406,13 @@ func (p *Pool) evictOne() error {
 	return ErrPoolFull
 }
 
-// sweepShard advances the shard's clock hand once (see
-// sweepShardLocked) and, when a frame was evicted, admits its image to
-// the compressed victim cache. Admission runs after the shard lock is
-// released — the frame is off the page table with zero pins, so its
-// image is exclusively ours and the compression cost never stalls
-// same-shard hits. Caller holds evictMu.
-func (p *Pool) sweepShard(sh *shard, durableLSN wal.LSN) (bool, error) {
-	victim, admissible, err := p.sweepShardLocked(sh, durableLSN)
-	if victim == nil || err != nil {
-		return false, err
-	}
-	if p.t2 != nil && admissible {
-		p.t2.admit(p, victim.page, victim.data)
-	}
-	return true, nil
-}
-
-// sweepShardLocked advances the shard's clock hand over its ring once,
-// evicting the first second-chance victim it finds and returning it. A
-// non-zero durableLSN makes the pass selective: dirty frames the log
-// does not yet cover are passed over (their reference bits untouched),
-// so a cheaper victim can be found before paying for a log sync.
-// admissible reports whether the victim's image matches the device copy
-// and may therefore enter tier-2: true for anything written back and
-// for clean frames loaded from the device, false for a fresh (GetNew)
-// frame that was never dirtied — its bytes never reached the device and
-// caching them would resurrect content the device does not hold. Caller
+// sweepShard advances the shard's clock hand over its ring once,
+// evicting the first second-chance victim it finds. A non-zero
+// durableLSN makes the pass selective: dirty frames the log does not
+// yet cover are passed over (their reference bits untouched), so a
+// cheaper victim can be found before paying for a log sync. Caller
 // holds evictMu.
-func (p *Pool) sweepShardLocked(sh *shard, durableLSN wal.LSN) (victim *Frame, admissible bool, err error) {
+func (p *Pool) sweepShard(sh *shard, durableLSN wal.LSN) (bool, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	n := len(sh.ring)
@@ -557,14 +436,10 @@ func (p *Pool) sweepShardLocked(sh *shard, durableLSN wal.LSN) (victim *Frame, a
 		// Victim: write back if dirty, then drop. No pins and the shard
 		// lock is held, so no caller can hold the frame's latch or pin
 		// it concurrently.
-		wasDirty := f.dirty.Load()
-		if wasDirty {
+		if f.dirty.Load() {
 			if err := p.writeBack(f); err != nil {
-				return nil, false, err
+				return false, err
 			}
-		}
-		if f.prefetched.Load() {
-			p.prefetchWasted.Inc()
 		}
 		delete(sh.frames, f.page)
 		last := len(sh.ring) - 1
@@ -576,9 +451,9 @@ func (p *Pool) sweepShardLocked(sh *shard, durableLSN wal.LSN) (victim *Frame, a
 		}
 		p.size.Add(-1)
 		p.evictions.Add(1)
-		return f, wasDirty || !f.fresh, nil
+		return true, nil
 	}
-	return nil, false, nil
+	return false, nil
 }
 
 // writeBack flushes one frame's bytes to the device. The caller must
@@ -768,9 +643,6 @@ func (p *Pool) unlockAll() {
 // ErrPinned if any frame is still pinned. The paper clears the buffer at
 // the start of each measured operation.
 func (p *Pool) Clear() error {
-	// Wait out background read-ahead first: a straggler batch finishing
-	// after the wipe would leave the "cold" pool partially warm.
-	p.DrainPrefetch()
 	if p.wal != nil {
 		if err := p.wal.Sync(); err != nil {
 			return err
@@ -817,11 +689,6 @@ func (p *Pool) Clear() error {
 	if err := p.dev.Sync(); err != nil {
 		return err
 	}
-	if p.t2 != nil {
-		// The paper clears the buffer to make measurements cold; that
-		// must empty both tiers of the hierarchy.
-		p.t2.reset()
-	}
 	var removed int64
 	for i := range p.shards {
 		sh := &p.shards[i]
@@ -864,11 +731,6 @@ func (p *Pool) Restore(pn pagedev.PageNo, img []byte) error {
 	}
 	if p.Resident(pn) {
 		return fmt.Errorf("buffer: restore page %d: page is resident", pn)
-	}
-	if p.t2 != nil {
-		// The device copy is being rewritten; a compressed image of the
-		// (possibly corrupt) previous content must not resurface.
-		p.t2.drop(pn)
 	}
 	buf := make([]byte, len(img))
 	copy(buf, img)
@@ -1077,9 +939,6 @@ func diffRanges(old, new []byte) []wal.Range {
 // the check-then-drop so a pinned frame fails the call before any
 // frame (with possibly newer dirty bytes) has been discarded.
 func (p *Pool) ShrinkTo(n pagedev.PageNo) error {
-	// Settle background read-ahead before dropping frames: a batch
-	// loading soon-to-be-truncated pages would race the shrink.
-	p.DrainPrefetch()
 	p.lockAll()
 	for i := range p.shards {
 		for pn, f := range p.shards[i].frames {
@@ -1110,9 +969,6 @@ func (p *Pool) ShrinkTo(n pagedev.PageNo) error {
 		}
 	}
 	p.unlockAll()
-	if p.t2 != nil {
-		p.t2.dropFrom(n)
-	}
 	if p.wal != nil {
 		if _, err := p.wal.AppendShrink(uint64(n)); err != nil {
 			return err

@@ -345,3 +345,84 @@ func TestFlushAllElevatorOrder(t *testing.T) {
 		t.Fatalf("elevator flush cost %v, expected well under 60ms", st.Elapsed)
 	}
 }
+
+// rangeCountingDev wraps Mem and counts vectored vs single-page writes.
+type rangeCountingDev struct {
+	*pagedev.Mem
+	rangeWrites  int
+	rangePages   int
+	singleWrites int
+}
+
+func (d *rangeCountingDev) Write(p pagedev.PageNo, buf []byte) error {
+	d.singleWrites++
+	return d.Mem.Write(p, buf)
+}
+
+func (d *rangeCountingDev) WriteRange(p pagedev.PageNo, buf []byte) error {
+	d.rangeWrites++
+	d.rangePages += len(buf) / d.PageSize()
+	return d.Mem.WriteRange(p, buf)
+}
+
+func TestFlushAllCoalescesAdjacentPages(t *testing.T) {
+	mem, err := pagedev.NewMem(1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := &rangeCountingDev{Mem: mem}
+	p, err := New(dev, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.Grow(32); err != nil {
+		t.Fatal(err)
+	}
+	// Two adjacent runs (0..5, 10..12) and one isolated page (20),
+	// dirtied out of order.
+	dirty := []pagedev.PageNo{10, 3, 20, 0, 5, 11, 1, 4, 12, 2}
+	for _, pn := range dirty {
+		f, err := p.GetNew(pn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		format(f, byte(pn))
+		f.Release()
+	}
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if dev.rangeWrites != 2 {
+		t.Fatalf("rangeWrites = %d, want 2 (runs 0..5 and 10..12)", dev.rangeWrites)
+	}
+	if dev.rangePages != 9 {
+		t.Fatalf("rangePages = %d, want 9", dev.rangePages)
+	}
+	if dev.singleWrites != 1 {
+		t.Fatalf("singleWrites = %d, want 1 (page 20)", dev.singleWrites)
+	}
+	if st := p.Stats(); st.CoalescedWriteRuns != 2 {
+		t.Fatalf("CoalescedWriteRuns = %d, want 2", st.CoalescedWriteRuns)
+	}
+	if st := p.Stats(); st.PhysWrites != 10 {
+		t.Fatalf("PhysWrites = %d, want 10", st.PhysWrites)
+	}
+	// Every flushed page must verify on the device.
+	buf := make([]byte, 1024)
+	for _, pn := range dirty {
+		if err := mem.Read(pn, buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := pageformat.VerifyChecksum(buf); err != nil {
+			t.Fatalf("page %d after coalesced flush: %v", pn, err)
+		}
+		s, err := pageformat.AsSlotted(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cell, err := s.Cell(0)
+		if err != nil || cell[0] != byte(pn) {
+			t.Fatalf("page %d cell = %v, %v", pn, cell, err)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"natix/internal/pagedev"
+	"natix/internal/pageformat"
 	"natix/internal/wal"
 )
 
@@ -172,4 +173,122 @@ func TestWriteBackWaitsForLog(t *testing.T) {
 		t.Fatal("write-back did not flush the log first (WAL rule)")
 	}
 	w.Commit()
+}
+
+func TestSelectiveEvictionUnderWALWithMidLoadSync(t *testing.T) {
+	// The selective clock pass skips dirty frames whose log records are
+	// not yet durable, so clean frames are evicted first; after a
+	// mid-load sync makes the dirty frames' LSNs durable, dirty victims
+	// must write back — never bypassing the WAL rule — and reload with
+	// the right content.
+	dev, _ := pagedev.NewMem(1024)
+	pool, err := New(dev, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := wal.NewMemStorage()
+	w, err := wal.OpenWriter(st, wal.Options{PageSize: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.AttachWAL(w)
+	if _, err := w.Begin("test", 0); err != nil {
+		t.Fatal(err)
+	}
+	dev.Grow(16)
+
+	// Two clean frames (written back) and two dirty logged frames whose
+	// records are not yet synced.
+	mutate := func(pn pagedev.PageNo) {
+		t.Helper()
+		f, err := pool.GetNew(pn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Latch()
+		u := f.BeginUpdate()
+		s := pageformat.FormatSlotted(f.Data())
+		s.Insert([]byte{byte(pn)})
+		if err := f.EndUpdate(u); err != nil {
+			t.Fatal(err)
+		}
+		f.Unlatch()
+		f.Release()
+	}
+	mutate(0)
+	mutate(1)
+	if err := pool.FlushAll(); err != nil { // pages 0,1 now clean, device-backed
+		t.Fatal(err)
+	}
+	mutate(2)
+	mutate(3)
+	if w.SyncedLSN() >= w.End() {
+		t.Fatal("test premise: pages 2,3 must have unsynced log records")
+	}
+
+	// Under pressure the selective first pass must pick a clean victim
+	// (0 or 1), not force a log sync for 2 or 3.
+	synced := w.SyncedLSN()
+	f, err := pool.Get(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Release()
+	if w.SyncedLSN() != synced {
+		t.Fatal("eviction forced a log sync despite clean victims being available")
+	}
+	if pool.Resident(0) && pool.Resident(1) {
+		t.Fatal("no clean victim was evicted")
+	}
+	if !pool.Resident(2) || !pool.Resident(3) {
+		t.Fatal("dirty unsynced frame was evicted")
+	}
+
+	// Mid-load sync: the dirty frames become evictable, and their
+	// write-back leaves a checksum-valid image the log covers.
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	for pn := pagedev.PageNo(9); pn < 12; pn++ {
+		g, err := pool.Get(pn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Release()
+	}
+	if pool.Resident(2) && pool.Resident(3) {
+		t.Fatal("synced dirty frames were not evicted after the mid-load sync")
+	}
+	buf := make([]byte, 1024)
+	for _, pn := range []pagedev.PageNo{2, 3} {
+		if pool.Resident(pn) {
+			continue
+		}
+		if err := dev.Read(pn, buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := pageformat.VerifyChecksum(buf); err != nil {
+			t.Fatalf("page %d after write-back: %v", pn, err)
+		}
+		if lsn := wal.LSN(pageformat.PageLSN(buf)); lsn == 0 || lsn > w.SyncedLSN() {
+			t.Fatalf("page %d written back with LSN %d, log durable through %d", pn, lsn, w.SyncedLSN())
+		}
+		// The reload from the device carries the logged content.
+		g, err := pool.Get(pn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := pageformat.AsSlotted(g.Data())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cell, err := s.Cell(0)
+		if err != nil || cell[0] != byte(pn) {
+			t.Fatalf("page %d cell = %v, %v", pn, cell, err)
+		}
+		g.Release()
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -337,6 +337,12 @@ func (b *BulkBuilder) Abort() error {
 	return b.w.Discard()
 }
 
+// Stop ends a failed build without rolling it back: the batch writer's
+// flusher goroutine is joined, so no page is written after Stop
+// returns. For callers whose rollback is log-driven; Abort is the
+// log-less rollback.
+func (b *BulkBuilder) Stop() { b.w.Stop() }
+
 // BatchStats exposes the underlying batch writer's counters.
 func (b *BulkBuilder) BatchStats() records.BatchStats { return b.w.Stats() }
 

@@ -299,12 +299,15 @@ func (l *bulkLoader) releaseScratch() {
 	l.nodeSlab, l.textSlab, l.pend, l.open = nil, nil, nil, nil
 }
 
-// abort rolls back everything the loader stored — the pre-WAL
-// best-effort path: it deletes the records the builder materialized.
-// With a log attached it is a no-op; Mutate's log-driven rollback
-// restores every touched page wholesale instead (see wal.go).
+// abortBulk ends a failed import's loader. It always joins the batch
+// writer's flusher first, so no queued page lands after the rollback.
+// Without a log it then deletes the records the builder materialized
+// (the pre-WAL best-effort path); with a log attached the operation's
+// log-driven rollback restores every touched page wholesale instead
+// (see wal.go), so the pages are left to it.
 func (s *Store) abortBulk(l *bulkLoader) {
 	if s.walW != nil {
+		l.bb.Stop()
 		return
 	}
 	_ = l.bb.Abort()

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"natix/internal/core"
+	"natix/internal/leakcheck"
 	"natix/internal/pathindex"
 	"natix/internal/xmlkit"
 )
@@ -378,6 +379,7 @@ func TestBulkLongRunChunkParity(t *testing.T) {
 // TestBulkImportCancelRollsBack: a context cancelled mid-import leaves
 // no catalog entry and no stranded records.
 func TestBulkImportCancelRollsBack(t *testing.T) {
+	forcePipelined(t)
 	s, _ := newDocStore(t, 2048, core.Config{})
 	cx, cancel := context.WithCancel(context.Background())
 	n := 0
@@ -387,10 +389,11 @@ func TestBulkImportCancelRollsBack(t *testing.T) {
 			cancel()
 		}
 	}}
-	_, err := s.ImportXMLContext(cx, "d", reader)
-	if err == nil {
-		t.Fatal("cancelled import succeeded")
-	}
+	leakcheck.Check(t, func() {
+		if _, err := s.ImportXMLContext(cx, "d", reader); err == nil {
+			t.Fatal("cancelled import succeeded")
+		}
+	})
 	if _, lookupErr := s.Lookup("d"); lookupErr == nil {
 		t.Fatal("cancelled import registered a document")
 	}

@@ -950,16 +950,8 @@ func (s *Store) exportXMLLocked(cx context.Context, name string, w io.Writer) er
 
 // xmlFromRef materializes the logical subtree at ref as an XML tree,
 // folding "@name" aggregates back into attributes. The context is
-// checked before each record access. The walk visits records in
-// document order, so it announces page read-ahead to the buffer pool
-// as it crosses pages (a fresh cursor per call; Markup on a single
-// match and a whole-document export both stream sequentially).
+// checked before each record access.
 func (s *Store) xmlFromRef(cx context.Context, ref core.NodeRef) (*xmlkit.Node, error) {
-	var cur pageCursor
-	return s.xmlFromRefCur(cx, ref, &cur)
-}
-
-func (s *Store) xmlFromRefCur(cx context.Context, ref core.NodeRef, cur *pageCursor) (*xmlkit.Node, error) {
 	if ref.IsLiteral() {
 		v, err := ref.Literal().StringValue()
 		if err != nil {
@@ -975,7 +967,6 @@ func (s *Store) xmlFromRefCur(cx context.Context, ref core.NodeRef, cur *pageCur
 	if err := ctxErr(cx); err != nil {
 		return nil, err
 	}
-	s.notePage(cx, cur, ref)
 	kids, err := s.trees.Children(ref)
 	if err != nil {
 		return nil, err
@@ -995,7 +986,7 @@ func (s *Store) xmlFromRefCur(cx context.Context, ref core.NodeRef, cur *pageCur
 				continue
 			}
 		}
-		child, err := s.xmlFromRefCur(cx, k, cur)
+		child, err := s.xmlFromRef(cx, k)
 		if err != nil {
 			return nil, err
 		}

@@ -313,6 +313,9 @@ func (s *Store) importBatchLocked(cx context.Context, docs []ImportDoc, workers 
 				idxs[i], err = l.sb.Finish()
 			}
 			if err != nil {
+				// The shard started its writer's flusher; join it before
+				// the shard ends (rollback is the batch's, after Wait).
+				l.bb.Stop()
 				errs[i] = err
 				cancel() // fail fast: unblock sibling shards
 				return

@@ -2,6 +2,7 @@ package docstore
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"natix/internal/buffer"
 	"natix/internal/core"
 	"natix/internal/dict"
+	"natix/internal/leakcheck"
 	"natix/internal/pagedev"
 	"natix/internal/pathindex"
 	"natix/internal/records"
@@ -18,14 +20,19 @@ import (
 	"natix/internal/wal"
 )
 
-// forcePipelined pins the two-goroutine import pipeline on for the
-// duration of a test: on a single-CPU machine importInline defaults to
-// true, and the failure paths under test live in the concurrent code.
+// forcePipelined pins the concurrent import stages on for the duration
+// of a test — the parser producer and the batch writer's page flusher:
+// on a single-CPU machine both default to inline, and the failure paths
+// under test live in the concurrent code.
 func forcePipelined(t *testing.T) {
 	t.Helper()
 	old := importInline
 	importInline = false
-	t.Cleanup(func() { importInline = old })
+	oldFlush := records.SetFlushInline(false)
+	t.Cleanup(func() {
+		importInline = old
+		records.SetFlushInline(oldFlush)
+	})
 }
 
 // walStore builds a WAL-backed store over an inspectable Mem device —
@@ -180,9 +187,11 @@ func TestPipelineParserErrorRollsBack(t *testing.T) {
 	keepXML := seedKeepDoc(t, s)
 	before := devImage(t, pool, dev)
 
-	if _, err := s.ImportXML("bad", strings.NewReader(bigDoc(false))); err == nil {
-		t.Fatal("malformed document imported without error")
-	}
+	leakcheck.Check(t, func() {
+		if _, err := s.ImportXML("bad", strings.NewReader(bigDoc(false))); err == nil {
+			t.Fatal("malformed document imported without error")
+		}
+	})
 	requireUnchanged(t, before, devImage(t, pool, dev), 2048)
 	verifyIntact(t, s, keepXML, "bad")
 }
@@ -220,11 +229,13 @@ func TestPipelineCancellationRollsBack(t *testing.T) {
 	defer cancel()
 	src := bigDoc(true)
 	r := &cancelReader{r: strings.NewReader(src), n: len(src) / 2, cancel: cancel}
-	if _, err := s.ImportXMLContext(cx, "cancelled", r); err == nil {
-		t.Fatal("cancelled import reported success")
-	} else if ctxErr(cx) == nil {
-		t.Fatal("context not cancelled — test exercised nothing")
-	}
+	leakcheck.Check(t, func() {
+		if _, err := s.ImportXMLContext(cx, "cancelled", r); err == nil {
+			t.Fatal("cancelled import reported success")
+		} else if ctxErr(cx) == nil {
+			t.Fatal("context not cancelled — test exercised nothing")
+		}
+	})
 	requireUnchanged(t, before, devImage(t, pool, dev), 2048)
 	verifyIntact(t, s, keepXML, "cancelled")
 }
@@ -244,11 +255,87 @@ func TestBatchPartialShardRollsBack(t *testing.T) {
 		{Name: "c", R: strings.NewReader(bigDoc(true))},
 		{Name: "bad", R: strings.NewReader(bigDoc(false))},
 	}
-	if _, err := s.ImportXMLBatch(context.Background(), docs, 2); err == nil {
-		t.Fatal("batch with malformed member imported without error")
-	}
+	leakcheck.Check(t, func() {
+		if _, err := s.ImportXMLBatch(context.Background(), docs, 2); err == nil {
+			t.Fatal("batch with malformed member imported without error")
+		}
+	})
 	requireUnchanged(t, before, devImage(t, pool, dev), 2048)
 	verifyIntact(t, s, keepXML, "a", "b", "c", "bad")
+}
+
+// errAfterReader fails with errInjected once n bytes have been read: a
+// deterministic mid-stream failure, after the batch writer has queued
+// pages to its flusher.
+type errAfterReader struct {
+	r    io.Reader
+	n    int
+	read int
+}
+
+var errInjected = errors.New("injected read failure")
+
+func (e *errAfterReader) Read(p []byte) (int, error) {
+	if e.read >= e.n {
+		return 0, errInjected
+	}
+	if len(p) > e.n-e.read {
+		p = p[:e.n-e.read]
+	}
+	n, err := e.r.Read(p)
+	e.read += n
+	return n, err
+}
+
+// TestFailedLoggedImportJoinsFlusher: a WAL-logged import that fails
+// mid-stream must have joined its batch writer's flusher goroutine by
+// the time the call returns — otherwise queued pages land on the device
+// after the log-driven undo. The goroutine dump is read once, right
+// after the call: no settle loop.
+func TestFailedLoggedImportJoinsFlusher(t *testing.T) {
+	requireNoFlusher := func(t *testing.T) {
+		t.Helper()
+		for _, stack := range leakcheck.Live() {
+			if strings.Contains(stack, "(*BatchWriter).flusher") {
+				t.Fatalf("batch flusher outlived the failed import:\n%s", stack)
+			}
+		}
+	}
+	// Four bigDocs' worth of items, failing halfway: by then the
+	// builder has handed many full pages to the flusher.
+	items := strings.TrimSuffix(strings.TrimPrefix(bigDoc(true), "<doc>"), "</doc>")
+	src := "<doc>" + strings.Repeat(items, 4) + "</doc>"
+	failing := func() io.Reader {
+		return &errAfterReader{r: strings.NewReader(src), n: len(src) / 2}
+	}
+	t.Run("single", func(t *testing.T) {
+		forcePipelined(t)
+		s, pool, dev := walStore(t)
+		keepXML := seedKeepDoc(t, s)
+		before := devImage(t, pool, dev)
+		if _, err := s.ImportXML("doomed", failing()); !errors.Is(err, errInjected) {
+			t.Fatalf("import = %v, want the injected failure", err)
+		}
+		requireNoFlusher(t)
+		requireUnchanged(t, before, devImage(t, pool, dev), 2048)
+		verifyIntact(t, s, keepXML, "doomed")
+	})
+	t.Run("batch-shard", func(t *testing.T) {
+		forcePipelined(t)
+		s, pool, dev := walStore(t)
+		keepXML := seedKeepDoc(t, s)
+		before := devImage(t, pool, dev)
+		docs := []ImportDoc{
+			{Name: "doomed", R: failing()},
+			{Name: "a", R: strings.NewReader(bigDoc(true))},
+		}
+		if _, err := s.ImportXMLBatch(context.Background(), docs, 2); !errors.Is(err, errInjected) {
+			t.Fatalf("batch import = %v, want the injected failure", err)
+		}
+		requireNoFlusher(t)
+		requireUnchanged(t, before, devImage(t, pool, dev), 2048)
+		verifyIntact(t, s, keepXML, "a", "doomed")
+	})
 }
 
 // TestBatchMatchesSerial: the sharded batch import must produce exports

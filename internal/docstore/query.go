@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"natix/internal/core"
-	"natix/internal/pagedev"
 	"natix/internal/pathindex"
 	"natix/internal/telemetry"
 	"natix/internal/xmlkit"
@@ -355,40 +354,6 @@ func (s *Store) streamFlat(cx context.Context, info DocInfo, steps []Step, emit 
 	return err
 }
 
-// scanReadAhead is how many pages a sequential record walk (navigating
-// scan, export) announces to the buffer pool each time it crosses onto
-// a page it has not announced from. Bulk-loaded trees lay records out
-// in document order, so the walk's next pages are overwhelmingly the
-// next page numbers.
-const scanReadAhead = 16
-
-// pageCursor tracks the last page a sequential walk touched, so the
-// walk announces read-ahead once per page crossed rather than once per
-// record.
-type pageCursor struct {
-	page   pagedev.PageNo
-	primed bool
-}
-
-// notePage announces read-ahead for the pages following ref's when the
-// walk crosses onto a page it has not announced from. On the warm path
-// (page unchanged, or the announced range fully resident) this is a
-// field compare and returns without allocating.
-//
-//natix:noalloc
-func (s *Store) notePage(cx context.Context, c *pageCursor, ref core.NodeRef) {
-	if ref.IsLiteral() {
-		return
-	}
-	pg := ref.RID().Page
-	if c.primed && pg == c.page {
-		return
-	}
-	c.primed = true
-	c.page = pg
-	s.seg.Pool().PrefetchRange(cx, pg+1, scanReadAhead)
-}
-
 // scanScratch recycles the per-frame child buffers of one navigating
 // traversal: frame d of the recursion expands children into bufs[d],
 // so a steady-state scan allocates nothing once every level's buffer
@@ -396,7 +361,6 @@ func (s *Store) notePage(cx context.Context, c *pageCursor, ref core.NodeRef) {
 type scanScratch struct {
 	bufs  [][]core.NodeRef
 	depth int
-	cur   pageCursor
 }
 
 // push hands out the current frame's buffer (empty, capacity kept).
@@ -429,7 +393,6 @@ func (s *Store) streamScan(cx context.Context, info DocInfo, steps []Step, emit 
 	if sc == nil {
 		sc = new(scanScratch)
 	}
-	sc.cur = pageCursor{}
 	err = s.scanStep(cx, sc, root, true, steps, emit)
 	// An error unwind skips pops; reset so the scratch pools clean.
 	sc.depth = 0
@@ -486,7 +449,6 @@ func (s *Store) scanStep(cx context.Context, sc *scanScratch, ref core.NodeRef, 
 		if err = ctxErr(cx); err != nil {
 			break
 		}
-		s.notePage(cx, &sc.cur, ref)
 		kids := sc.push()
 		if kids, err = s.trees.ChildrenAppend(ref, kids); err != nil {
 			sc.pop(kids)
@@ -519,7 +481,6 @@ func (s *Store) walkDescendants(cx context.Context, sc *scanScratch, ref core.No
 	if err := ctxErr(cx); err != nil {
 		return err
 	}
-	s.notePage(cx, &sc.cur, ref)
 	kids := sc.push()
 	kids, err := s.trees.ChildrenAppend(ref, kids)
 	if err != nil {

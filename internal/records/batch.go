@@ -25,7 +25,7 @@ package records
 // page image (and its single log record) is complete. Either way the
 // patch is never lost and the log stays one image per bulk page.
 //
-// Insert/Patch/Flush/Discard must be driven by a single mutator (the
+// Insert/Patch/Flush/Stop/Discard must be driven by a single mutator (the
 // writer shares the segment allocator); the flusher goroutine is the
 // writer's own second stage, not a second mutator.
 
@@ -58,6 +58,15 @@ const flusherQueueLen = 8
 // an eviction flushes a half-built page (and, under WAL, forces a log
 // sync). Tests toggle it to pin either path.
 var flushInline = runtime.GOMAXPROCS(0) == 1
+
+// SetFlushInline overrides the single-CPU short-circuit and returns the
+// previous setting, so tests of the layers above can pin the flusher
+// stage on or off whatever GOMAXPROCS is. It must not be called while a
+// BatchWriter is in use.
+func SetFlushInline(inline bool) (old bool) {
+	old, flushInline = flushInline, inline
+	return old
+}
 
 // BatchWriter packs records onto sequential pages. Create with
 // Manager.NewBatchWriter.
@@ -315,20 +324,32 @@ func (w *BatchWriter) Flush() error {
 	return err
 }
 
-// Discard aborts the batch: buffered and queued bodies are dropped
-// (their pages were never referenced, and stay registered as empty or
-// untouched in the inventory) and every record this writer materialized
-// is deleted. Used to roll back a failed bulk load.
-func (w *BatchWriter) Discard() error {
+// Stop ends the batch without undoing it: the flusher goroutine is
+// joined (pages already queued finish materializing) and buffered
+// bodies are dropped. Once Stop returns, the writer touches no page
+// again. A failed bulk load under a write-ahead log calls it before the
+// log-driven rollback, which owns every page the writer wrote; Discard
+// is the log-less rollback.
+func (w *BatchWriter) Stop() {
 	w.join()
 	w.page = 0
 	w.bodies = nil
 	w.used = 0
 	w.mu.Lock()
-	written := w.written
-	w.written = nil
 	w.pending = make(map[pagedev.PageNo][][]byte)
 	w.flushErr = nil
+	w.mu.Unlock()
+}
+
+// Discard aborts the batch: it stops the writer, dropping buffered and
+// queued bodies (their pages were never referenced, and stay registered
+// as empty or untouched in the inventory), and deletes every record the
+// writer materialized. Used to roll back a failed bulk load.
+func (w *BatchWriter) Discard() error {
+	w.Stop()
+	w.mu.Lock()
+	written := w.written
+	w.written = nil
 	w.mu.Unlock()
 	var firstErr error
 	for _, rid := range written {

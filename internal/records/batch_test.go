@@ -257,7 +257,9 @@ func TestBatchWriterAsyncFlusher(t *testing.T) {
 			copy(want[i-20], patch)
 		}
 		rids = append(rids, rid)
-		want = append(want, body)
+		// The writer owns body now (its flusher reads it); keep the
+		// expected bytes in a copy of our own.
+		want = append(want, bytes.Clone(body))
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)

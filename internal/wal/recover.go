@@ -165,7 +165,7 @@ func Recover(dev pagedev.Device, st Storage) (Result, error) {
 	// others; replay them as finished.
 	finished := func(i int) bool { return owner[i] == 0 || closed[owner[i]] }
 
-	// Read-ahead: the replay below touches pages in record order, which
+	// Preload: the replay below touches pages in record order, which
 	// is effectively random on the device. Walk the records in replay
 	// order first (redo forward, undo backward) to learn, per page,
 	// whether its first touch needs the device copy at all — RecImage

@@ -118,7 +118,6 @@ import (
 	"time"
 
 	"natix/internal/buffer"
-	"natix/internal/compress"
 	"natix/internal/core"
 	"natix/internal/dict"
 	"natix/internal/docstore"
@@ -160,19 +159,6 @@ type Options struct {
 	// BufferBytes sizes the buffer pool. Default 2 MB (the paper's
 	// setting, §4.2).
 	BufferBytes int
-
-	// CompressedCacheBytes, when positive, attaches a second memory
-	// tier to the buffer pool: a compressed victim cache of
-	// approximately this many bytes. Clean page images evicted by the
-	// pool's clock are kept compressed (deflate, or raw when a page
-	// does not compress); a later miss on such a page is decompressed
-	// back into a frame in microseconds instead of paying a device
-	// read. Every image leaving the cache is re-verified against its
-	// page checksum, so the tier cannot serve corrupted bytes. Most
-	// effective when the working set exceeds BufferBytes but its
-	// compressed form does not — e.g. text-heavy documents under a
-	// paper-sized 2 MB pool. Zero disables the tier.
-	CompressedCacheBytes int
 
 	// SplitTarget is the desired left-partition fraction on splits,
 	// in (0,1). Default 0.5.
@@ -481,9 +467,6 @@ func openWith(opts Options, dev pagedev.Device, sim *pagedev.SimDisk, walSt wal.
 	pool, err := buffer.NewSized(dev, opts.BufferBytes)
 	if err != nil {
 		return nil, err
-	}
-	if opts.CompressedCacheBytes > 0 {
-		pool.EnableCompressedCache(int64(opts.CompressedCacheBytes), compress.NewFlate(compress.DefaultLevel))
 	}
 	if w != nil {
 		pool.AttachWAL(w)
@@ -866,16 +849,9 @@ type Stats struct {
 	PhysWrites   int64
 	Evictions    int64 // frames reclaimed by the clock sweep
 	LatchWaits   int64 // frame-latch acquisitions that had to block
-	// Memory hierarchy (all zero when CompressedCacheBytes is off,
-	// except the prefetch and coalescing counters, which are always
-	// live).
-	Tier2Hits          int64 // misses served from the compressed victim cache
-	Tier2Misses        int64 // misses that fell through to the device
-	Tier2Bytes         int64 // current compressed payload held in tier-2
-	PrefetchIssued     int64 // pages loaded by background read-ahead
-	PrefetchUsed       int64 // prefetched pages later hit by a foreground get
-	PrefetchWasted     int64 // prefetched pages evicted untouched
-	CoalescedWriteRuns int64 // multi-page vectored writes issued by flushes
+	// CoalescedWriteRuns counts multi-page vectored writes issued by
+	// flushes: adjacent dirty pages written back as one device write.
+	CoalescedWriteRuns int64
 	// Tree storage manager.
 	Splits           int64
 	RecordsCreated   int64
@@ -911,12 +887,6 @@ func (db *DB) Stats() (Stats, error) {
 			PhysWrites:         c["buffer.phys_writes"],
 			Evictions:          c["buffer.evictions"],
 			LatchWaits:         c["buffer.latch_waits"],
-			Tier2Hits:          c["buffer.tier2_hits"],
-			Tier2Misses:        c["buffer.tier2_misses"],
-			Tier2Bytes:         c["buffer.tier2_bytes"],
-			PrefetchIssued:     c["buffer.prefetch_issued"],
-			PrefetchUsed:       c["buffer.prefetch_used"],
-			PrefetchWasted:     c["buffer.prefetch_wasted"],
 			CoalescedWriteRuns: c["buffer.coalesced_write_runs"],
 			Splits:             c["core.splits"],
 			RecordsCreated:     c["core.records_created"],

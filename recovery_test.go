@@ -127,8 +127,9 @@ type crashState struct {
 // buildBaseState creates a store with one committed document ("keep")
 // and checkpoints it, returning the frozen image and the document's
 // canonical export.
-func buildBaseState(t *testing.T, opts Options) (crashState, string) {
+func buildBaseState(t *testing.T) (crashState, string) {
 	t.Helper()
+	opts := crashOpts()
 	mem, err := pagedev.NewMem(opts.PageSize)
 	if err != nil {
 		t.Fatal(err)
@@ -173,8 +174,9 @@ func testPlayXML(title string, scenes int) string {
 // openCrashDB opens a store over a frozen image with the crash clock
 // armed at budget (0 disarms), returning the DB plus the live devices
 // for post-crash snapshotting.
-func openCrashDB(t *testing.T, opts Options, state crashState, clock *pagedev.CrashClock) (*DB, *pagedev.Mem, *wal.MemStorage, error) {
+func openCrashDB(t *testing.T, state crashState, clock *pagedev.CrashClock) (*DB, *pagedev.Mem, *wal.MemStorage, error) {
 	t.Helper()
+	opts := crashOpts()
 	mem := restoreDev(t, opts.PageSize, state.pages)
 	st := wal.NewMemStorageFrom(state.log)
 	db, err := openWith(opts, pagedev.NewFault(mem, clock), nil, &faultLogStorage{inner: st, clock: clock}, true)
@@ -184,11 +186,11 @@ func openCrashDB(t *testing.T, opts Options, state crashState, clock *pagedev.Cr
 // verifyRecovered reboots from the surviving bytes, letting restart
 // recovery repair the store, and runs the scenario's checks. It
 // returns the recovered DB for further checks; the caller closes it.
-func verifyRecovered(t *testing.T, opts Options, mem *pagedev.Mem, st *wal.MemStorage, check func(db *DB)) {
+func verifyRecovered(t *testing.T, mem *pagedev.Mem, st *wal.MemStorage, check func(db *DB)) {
 	t.Helper()
 	state := crashState{pages: snapshotDev(t, mem), log: st.Snapshot()}
 	var clock pagedev.CrashClock // disarmed
-	db, _, _, err := openCrashDB(t, opts, state, &clock)
+	db, _, _, err := openCrashDB(t, state, &clock)
 	if err != nil {
 		t.Fatalf("reopen after crash: %v", err)
 	}
@@ -237,18 +239,12 @@ func exportOf(t *testing.T, db *DB, name string) (string, bool) {
 // at every write offset (and, in torn mode, tearing the crashing
 // write), then verifies recovery after each crash.
 func runCrashMatrix(t *testing.T, torn bool, op func(db *DB) error, check func(t *testing.T, db *DB, crashed bool)) {
-	runCrashMatrixOpts(t, crashOpts(), torn, op, check)
-}
-
-// runCrashMatrixOpts is runCrashMatrix under an explicit store
-// configuration (e.g. with the tier-2 compressed cache attached).
-func runCrashMatrixOpts(t *testing.T, opts Options, torn bool, op func(db *DB) error, check func(t *testing.T, db *DB, crashed bool)) {
-	state, keepXML := buildBaseState(t, opts)
+	state, keepXML := buildBaseState(t)
 	completed := false
 	for budget := int64(1); budget <= 10000; budget++ {
 		var clock pagedev.CrashClock
 		clock.SetBudget(budget, torn)
-		db, mem, st, err := openCrashDB(t, opts, state, &clock)
+		db, mem, st, err := openCrashDB(t, state, &clock)
 		if err != nil {
 			// The crash landed inside Open itself (e.g. during the
 			// session's first page reads — nothing written yet, but the
@@ -277,7 +273,7 @@ func runCrashMatrixOpts(t *testing.T, opts Options, torn bool, op func(db *DB) e
 		// Crash: abandon the DB (no Close — the machine is gone),
 		// reboot from the surviving bytes and verify.
 		clock.Disarm()
-		verifyRecovered(t, opts, mem, st, func(rdb *DB) {
+		verifyRecovered(t, mem, st, func(rdb *DB) {
 			got, ok := exportOf(t, rdb, "keep")
 			if !ok {
 				t.Fatalf("budget %d: pre-existing document lost", budget)
@@ -481,43 +477,6 @@ func TestCrashRecoveryImport(t *testing.T) {
 			)
 		})
 	}
-}
-
-// TestCrashRecoveryImportWithTier2 reruns the import crash matrix with
-// the compressed victim cache attached. Tier-2 admissions happen on the
-// eviction path, after write-back — the matrix proves they perturb
-// neither the WAL rule nor the write ordering recovery depends on, and
-// that a store rebooted mid-import recovers identically with the tier
-// configured on both sides of the crash.
-func TestCrashRecoveryImportWithTier2(t *testing.T) {
-	importXML := testPlayXML("doomed", 30)
-	opts := crashOpts()
-	opts.CompressedCacheBytes = 1 << 20
-	runCrashMatrixOpts(t,
-		opts,
-		false,
-		func(db *DB) error {
-			return db.ImportXML("doomed", strings.NewReader(importXML))
-		},
-		func(t *testing.T, db *DB, crashed bool) {
-			got, ok := exportOf(t, db, "doomed")
-			if !ok {
-				return
-			}
-			ref, err := Open(Options{PageSize: 2048})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ref.Close()
-			if err := ref.ImportXML("doomed", strings.NewReader(importXML)); err != nil {
-				t.Fatal(err)
-			}
-			want, _ := exportOf(t, ref, "doomed")
-			if got != want {
-				t.Fatal("recovered import is not byte-identical with tier-2 enabled")
-			}
-		},
-	)
 }
 
 func TestCrashRecoveryDelete(t *testing.T) {
