@@ -269,6 +269,12 @@ func TestScrubQuarantineAndRecovery(t *testing.T) {
 // inventory pages), quarantine the documents owning the rest, and never
 // serve a wrong answer.
 func TestCorruptionMatrixEveryPage(t *testing.T) {
+	// The matrix runs on the buffer pool alone: no compressed second
+	// memory tier sits between the pool and the device.
+	t.Run("tier-off", corruptionMatrixEveryPage)
+}
+
+func corruptionMatrixEveryPage(t *testing.T) {
 	db, mem, fault := openIntegrityDB(t)
 	mustImport(t, db, "alpha", 4)
 	mustImport(t, db, "beta", 3)
